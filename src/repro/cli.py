@@ -336,8 +336,7 @@ def render_top(stats: dict) -> str:
         f"  batch: submitted={batch.get('submitted', 0)} "
         f"mean_fast={batch.get('mean_fast_batch', 0.0):.1f} "
         f"max={batch.get('max_batch_seen', 0)} "
-        f"queue={batch.get('queue_depth', 0)} "
-        f"cache_hits={batch.get('cache_hits', 0)}"
+        f"queue={batch.get('queue_depth', 0)}"
     )
     if batch.get("shed") or batch.get("expired"):
         batch_line += f" shed={batch.get('shed', 0)} expired={batch.get('expired', 0)}"
@@ -351,6 +350,23 @@ def render_top(stats: dict) -> str:
         f"  cache: enabled={cache.get('enabled', False)} "
         f"hits={cache.get('hits', 0)} misses={cache.get('misses', 0)}"
     )
+    tiers = cache.get("tiers") or {}
+    for tier in ("memory", "disk"):
+        row = tiers.get(tier)
+        if row is None:
+            continue
+        line = (
+            f"    {tier:<6s} hits={row.get('hits', 0)} misses={row.get('misses', 0)} "
+            f"corrupt={row.get('corrupt', 0)} evicted={row.get('evicted', 0)}"
+        )
+        if tier == "memory":
+            line += (
+                f" entries={row.get('entries', 0)} "
+                f"{row.get('bytes', 0) / 2**20:.1f}/{row.get('max_bytes', 0) / 2**20:.0f}MiB"
+            )
+        elif row.get("write_errors"):
+            line += f" write_errors={row['write_errors']}"
+        lines.append(line)
     workers = stats.get("workers") or []
     if workers:
         # Prefork group: the scraped worker merged every sibling's

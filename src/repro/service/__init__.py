@@ -7,6 +7,10 @@ serves it instead: a long-lived asyncio HTTP/JSON server
 (:mod:`~repro.service.server`) where clients submit ``simulate`` /
 ``sweep`` / ``optimize`` requests and the server squeezes the substrate:
 
+* **answers at admission** (:mod:`~repro.service.response_tier`) — a
+  bounded in-process LRU of rendered responses in front of the on-disk
+  cache; a repeat is answered before it is queued, so it is never shed
+  or expired.
 * **coalescing** (:mod:`~repro.service.coalescer`) — identical in-flight
   configs (by :func:`~repro.simulation.pool.config_key`) attach to one
   computation; every waiter receives the same result.

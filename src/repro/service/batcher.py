@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..simulation.pool import ResultCache, split_cached
+from ..simulation.pool import ResultCache, config_key
 from ..simulation.simulator import SimConfig
 from ..simulation.stats import SimulationResult
 from . import timing as req_timing
@@ -90,10 +90,6 @@ _QUEUE_DEPTH = obs_metrics.REGISTRY.gauge(
 _BATCH_SECONDS = obs_metrics.REGISTRY.histogram(
     "service_batch_seconds", "wall seconds per dispatched batch"
 )
-_CACHE_SLICED = obs_metrics.REGISTRY.counter(
-    "service_batch_cache_hits_total",
-    "simulate jobs resolved from the result cache before dispatch, by engine",
-)
 _SHED = obs_metrics.REGISTRY.counter(
     "service_shed_total",
     "simulate jobs rejected at admission (queue budget exceeded)",
@@ -112,7 +108,6 @@ class BatchStats:
     batches: dict[str, int] = field(default_factory=lambda: {"fast": 0, "des": 0})
     batched_jobs: dict[str, int] = field(default_factory=lambda: {"fast": 0, "des": 0})
     max_batch_seen: int = 0
-    cache_hits: int = 0
     shed: int = 0
     expired: int = 0
 
@@ -126,6 +121,8 @@ class BatchStats:
 class _Job:
     config: SimConfig
     future: asyncio.Future
+    #: Result-cache key (hashed once, at admission; ``None`` = uncached).
+    key: str | None = None
     #: Request-tree context captured at submit (the submitting request's
     #: innermost open span) — the batcher's per-job spans hang off it.
     ctx: "obs_trace.TraceContext | None" = None
@@ -163,8 +160,8 @@ class Batcher:
     runner:
         Blocking ``configs -> results`` callable (order-preserving), run
         on the executor.  The server passes a closure over
-        :func:`~repro.simulation.pool.run_simulations` with its shared
-        cache.
+        :func:`~repro.simulation.pool.run_simulations`; the cache is the
+        batcher's (see ``cache``), not the runner's.
     window:
         Bounded batching delay in seconds: the drain task sleeps this
         long after waking so concurrent arrivals can join the batch.
@@ -178,13 +175,12 @@ class Batcher:
         computes, the next accumulates — keep >= 2 so the queue never
         idles behind a running batch.
     cache:
-        Optional shared :class:`~repro.simulation.pool.ResultCache`.
-        When set, each drained batch is sliced against the cache *before*
-        engine dispatch (miss-only slicing): warm jobs resolve straight
-        from the cache and only the misses enter the fused
-        ``simulate_batch`` pass.  Results are unchanged — the runner's
-        pool performs the same lookup — but a partially warm batch no
-        longer drags its hits through full-width engine groups.
+        Optional shared :class:`~repro.simulation.pool.ResultCache` (the
+        disk tier), owned by the batcher: each drained batch is probed
+        once, off the event loop, *before* engine dispatch (miss-only
+        slicing): warm jobs resolve straight from the cache and only the
+        misses reach the runner, whose results the batcher then stores.
+        The runner therefore never probes the cache itself.
     queue_budget:
         Admission-control budget in seconds, or ``None`` (default) for
         unbounded queueing.  When set, a submission is rejected with
@@ -261,7 +257,9 @@ class Batcher:
         batches_ahead = math.ceil(len(self._queue) / self.max_batch)
         return batches_ahead * self._batch_ewma
 
-    async def submit(self, config: SimConfig, qos: QoS | None = None) -> SimulationResult:
+    async def submit(
+        self, config: SimConfig, qos: QoS | None = None, key: str | None = None
+    ) -> SimulationResult:
         """Queue one config; resolves with its simulation result.
 
         Identical concurrent configs should be deduplicated *before*
@@ -274,6 +272,10 @@ class Batcher:
         exceeded, and the returned future fails with
         :class:`DeadlineExceeded` if the deadline passes before the
         job's batch dispatches.
+
+        ``key`` is the config's :func:`~repro.simulation.pool.config_key`
+        when the caller already hashed it (the server does, at
+        admission); otherwise the batcher hashes it here, once.
         """
         if self._closed:
             raise RuntimeError("batcher is closed")
@@ -291,9 +293,14 @@ class Batcher:
                 )
         now = loop.time()
         self._seq += 1
+        if config.trace is not None:
+            key = None  # a traced run's recorder cannot be cached
+        elif key is None and self.cache is not None:
+            key = config_key(config)
         job = _Job(
             config=config,
             future=loop.create_future(),
+            key=key,
             ctx=obs_trace.current_context(),
             rec=req_timing.job_record(),
             enqueued=now,
@@ -404,40 +411,40 @@ class Batcher:
                     label=engine, ctx=job.ctx,
                 )
         if self.cache is not None:
-            # Miss-only slicing: probe the cache off the event loop,
-            # resolve warm jobs immediately and dispatch only misses.
+            # Miss-only slicing: probe the disk tier off the event loop
+            # with the keys hashed at admission, resolve warm jobs
+            # immediately and dispatch only misses.
             tp0 = loop.time()
-            hits, pending, _ = await loop.run_in_executor(
+            hits = await loop.run_in_executor(
                 self._executor,
-                split_cached,
-                [j.config for j in jobs],
-                self.cache,
+                self.cache.get_many,
+                [j.key for j in jobs if j.key is not None],
             )
             tp1 = loop.time()
+            pending = []
             for job in jobs:
                 if job.rec is not None:
                     job.rec["probe"] = tp1 - tp0
                 if traced and job.ctx is not None:
                     obs_trace.emit(
                         "batcher", tp0, tp1, "cache_probe",
-                        label=engine, ctx=job.ctx,
+                        label=engine, attrs={"tier": "disk"}, ctx=job.ctx,
                     )
-            n_hits = len(jobs) - len(pending)
-            if n_hits:
-                for job, hit in zip(jobs, hits):
-                    if hit is not None:
-                        if job.rec is not None:
-                            job.rec["resolved"] = tp1
-                        if not job.future.done():
-                            job.future.set_result(hit)
-                _CACHE_SLICED.inc(n_hits, engine=engine)
-                self.stats.cache_hits += n_hits
-                jobs = [jobs[i] for i, _ in pending]
-                if not jobs:
-                    # Fully warm batch: no compute span in any tree.
-                    return
+                hit = hits.get(job.key) if job.key is not None else None
+                if hit is None:
+                    pending.append(job)
+                    continue
+                if job.rec is not None:
+                    job.rec["resolved"] = tp1
+                if not job.future.done():
+                    job.future.set_result(hit)
+            jobs = pending
+            if not jobs:
+                # Fully warm batch: no compute span in any tree.
+                return
         t0 = loop.time()
         configs = [j.config for j in jobs]
+        keys = [j.key for j in jobs]
         # One real compute span, opened in the executor thread under
         # the batch leader's request context so the pool chunks and
         # fastpath groups below it join the leader's tree; every
@@ -449,15 +456,24 @@ class Batcher:
         )
         compute_ctx: list[str | None] = [None]
 
+        def _compute() -> Sequence[SimulationResult]:
+            results = self._runner(configs)
+            if self.cache is not None and len(results) == len(configs):
+                # The misses were probed above: store, never re-probe.
+                self.cache.put_many(
+                    (k, r) for k, r in zip(keys, results) if k is not None
+                )
+            return results
+
         def _run() -> Sequence[SimulationResult]:
             if lead_ctx is None:
-                return self._runner(configs)
+                return _compute()
             with obs_trace.use_context(lead_ctx):
                 with obs_trace.span(
                     "batcher", "compute", label=engine, jobs=len(configs)
                 ) as sp:
                     compute_ctx[0] = sp.ctx_id
-                    return self._runner(configs)
+                    return _compute()
 
         try:
             results = await loop.run_in_executor(self._executor, _run)

@@ -7,8 +7,9 @@ would dominate at millisecond service times).
 
 Endpoints (see ``docs/SERVICE.md`` for the full schema):
 
-* ``POST /v1/simulate`` — one scenario; coalesced with identical
-  in-flight configs, micro-batched with compatible concurrent ones.
+* ``POST /v1/simulate`` — one scenario; answered at admission from the
+  in-process response tier when warm, otherwise coalesced with identical
+  in-flight configs and micro-batched with compatible concurrent ones.
 * ``POST /v1/sweep`` — a list of cells x a seed axis; every row rides
   the same coalescer/batcher, so concurrent sweeps fuse with each other
   and with single simulates.
@@ -18,8 +19,10 @@ Endpoints (see ``docs/SERVICE.md`` for the full schema):
   text format; ``GET /healthz`` — liveness; ``GET /stats`` — service
   counters as JSON (what the benchmark reads).
 
-Shared state is the point: one :class:`~repro.simulation.pool.ResultCache`,
-one optimizer memo, one metrics registry across every client.
+Shared state is the point: one two-tier result cache (the in-process
+:class:`~repro.service.response_tier.ResponseTier` in front of the on-disk
+:class:`~repro.simulation.pool.ResultCache`), one optimizer memo, one
+metrics registry across every client.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .protocol import (
     result_to_json,
     sweep_rows_from_json,
 )
+from .response_tier import RESPONSE_TIER_BYTES, ResponseTier, TierEntry
 
 __all__ = ["BackgroundServer", "ServiceConfig", "ServiceServer", "serve"]
 
@@ -103,7 +107,8 @@ class ServiceConfig:
         (:func:`~repro.simulation.pool.run_simulations` semantics:
         1 = inline in the dispatch thread, ``None`` = one per core).
     cache:
-        Shared on-disk result cache; ``None`` disables it.
+        Shared on-disk result cache; ``None`` disables it *and* the
+        in-process response tier in front of it.
     batch_window:
         Bounded micro-batching delay, seconds.
     max_batch:
@@ -175,6 +180,10 @@ class ServiceServer:
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         self.cache = self.config.cache
+        #: The memory tier: warm answers resolved at admission.
+        self.responses = (
+            ResponseTier(RESPONSE_TIER_BYTES) if self.cache is not None else None
+        )
         self.coalescer = Coalescer()
         self.batcher = Batcher(
             self._run_batch,
@@ -208,34 +217,83 @@ class ServiceServer:
     # -- the blocking batch runner (executor thread) -------------------------
 
     def _run_batch(self, configs: list[SimConfig]) -> Sequence[SimulationResult]:
-        """Run one fused batch through the pool runtime.
+        """Run one fused batch of cache misses through the pool runtime.
 
-        ``run_simulations`` sweeps the shared cache in one
-        :meth:`~repro.simulation.pool.ResultCache.get_many` pass, fuses
-        each chunk's fast-engine configs into a single
-        ``simulate_batch`` call, and stores new results with
-        :meth:`~repro.simulation.pool.ResultCache.put_many`.
+        ``run_simulations`` fuses each chunk's fast-engine configs into a
+        single ``simulate_batch`` call.  It gets no cache: the batcher
+        has already probed the disk tier for exactly these configs and
+        stores their results itself.
         """
-        return run_simulations(configs, jobs=self.config.jobs, cache=self.cache)
+        return run_simulations(configs, jobs=self.config.jobs)
 
     # -- request execution ----------------------------------------------------
 
-    async def _simulate(
-        self, cfg: SimConfig, qos: QoS | None = None
+    def _admit(self, cfg: SimConfig) -> tuple[str | None, TierEntry | None]:
+        """Hash ``cfg`` once and probe the memory tier, synchronously.
+
+        Returns ``(key, entry)``; ``key`` is ``None`` when nothing below
+        needs it (no cache, no coalescing).  A hit records its own
+        ``cache_probe`` stage and span and goes no further: no coalescer,
+        batcher, executor or dispatch slot, so it is never shed or
+        expired.
+        """
+        if self.responses is None:
+            return (config_key(cfg) if self.config.coalesce else None), None
+        t0 = time.monotonic()
+        key = config_key(cfg)
+        entry = self.responses.get(key)
+        if entry is not None:
+            t1 = time.monotonic()
+            rec = req_timing.job_record()
+            if rec is not None:
+                rec["probe"] = t1 - t0
+                rec["resolved"] = t1
+            if obs_trace.enabled():
+                obs_trace.emit(
+                    "cache", t0, t1, "cache_probe",
+                    label="memory", attrs={"tier": "memory"},
+                )
+        return key, entry
+
+    async def _resolve(
+        self, cfg: SimConfig, qos: QoS | None, key: str | None
     ) -> SimulationResult:
+        """A memory-tier miss: coalescer, then the batcher (disk tier,
+        then the engine)."""
         # A coalesced duplicate inherits the primary's QoS: it attaches
         # to work already admitted and scheduled, so its own deadline or
         # priority cannot (and need not) reshape that computation.
         if not self.config.coalesce:
-            return await self.batcher.submit(cfg, qos)
-        return await self.coalescer.get(
-            config_key(cfg), lambda: self.batcher.submit(cfg, qos)
-        )
+            return await self._fetch(cfg, qos, key)
+        return await self.coalescer.get(key, lambda: self._fetch(cfg, qos, key))
 
-    async def _handle_simulate(self, body: Any) -> dict:
+    async def _fetch(
+        self, cfg: SimConfig, qos: QoS | None, key: str | None
+    ) -> SimulationResult:
+        """Submit to the batcher and fill the memory tier once resolved
+        (a disk hit and a computation alike)."""
+        result = await self.batcher.submit(cfg, qos, key=key)
+        if self.responses is not None:
+            self.responses.put(
+                key, result, canonical_dumps({"result": result_to_json(result)})
+            )
+        return result
+
+    async def _simulate(
+        self, cfg: SimConfig, qos: QoS | None = None
+    ) -> SimulationResult:
+        key, entry = self._admit(cfg)
+        if entry is not None:
+            return entry.result
+        return await self._resolve(cfg, qos, key)
+
+    async def _handle_simulate(self, body: Any) -> "dict | TierEntry":
         qos, body = qos_from_json(body)
         cfg = config_from_json(body)
-        result = await self._simulate(cfg, qos)
+        key, entry = self._admit(cfg)
+        if entry is not None:
+            return entry  # rendered already
+        result = await self._resolve(cfg, qos, key)
         return {"result": result_to_json(result)}
 
     @staticmethod
@@ -397,21 +455,36 @@ class ServiceServer:
                 "batched_jobs": dict(stats.batched_jobs),
                 "mean_fast_batch": stats.mean_batch_size("fast"),
                 "max_batch_seen": stats.max_batch_seen,
-                "cache_hits": stats.cache_hits,
                 "queue_depth": self.batcher.queue_depth,
                 "shed": stats.shed,
                 "expired": stats.expired,
             },
-            "cache": {
-                "enabled": self.cache is not None,
-                "hits": getattr(self.cache, "hits", 0),
-                "misses": getattr(self.cache, "misses", 0),
-            },
+            "cache": self._cache_stats(),
         }
         if self.config.worker_index is not None:
             out["worker"] = self.config.worker_index
             out["pid"] = os.getpid()
         return out
+
+    def _cache_stats(self) -> dict:
+        """Both cache tiers.  ``hits``/``misses`` total the per-tier
+        lookups, so a cold request counts one miss in each tier."""
+        if self.cache is None or self.responses is None:
+            return {"enabled": False, "hits": 0, "misses": 0}
+        memory = self.responses.stats()
+        disk = {
+            "hits": self.cache.hits,
+            "misses": self.cache.misses,
+            "corrupt": self.cache.corrupt,
+            "evicted": 0,
+            "write_errors": self.cache.write_errors,
+        }
+        return {
+            "enabled": True,
+            "hits": memory["hits"] + disk["hits"],
+            "misses": memory["misses"] + disk["misses"],
+            "tiers": {"memory": memory, "disk": disk},
+        }
 
     def _publish_stats(self) -> dict:
         """Atomically publish this worker's snapshot to ``stats_dir``."""
@@ -660,12 +733,17 @@ class ServiceServer:
                 # segment here only covers submitting the rows.
                 stages = rt.finalize(parse=p1 - p0, handle=p2 - p1, serialize=0.0)
                 return 200, out, out.content_type, stages, {}
-            rendered = canonical_dumps(out)
+            if isinstance(out, TierEntry):
+                rendered = out.body  # a memory-tier hit
+            else:
+                rendered = canonical_dumps(out)
             p3 = time.monotonic()
             stages = rt.finalize(parse=p1 - p0, handle=p2 - p1, serialize=p3 - p2)
         if want_timing:
             # Opt-in only: the default response must stay byte-identical
             # to serial evaluation (the service's determinism contract).
+            if isinstance(out, TierEntry):
+                out = {"result": result_to_json(out.result)}
             out["server_timing"] = stages
             rendered = canonical_dumps(out)
         return 200, rendered, "application/json", stages, {}

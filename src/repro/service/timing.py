@@ -12,7 +12,9 @@ A request's wall time decomposes into six stages:
     Queue time in the micro-batcher: enqueue until the dispatch actually
     starts (bounded-delay window + any wait behind ``max_inflight``).
 ``cache_probe``
-    The ``split_cached`` sweep against the shared result cache.
+    The result-cache lookup: the memory tier at admission (a memory hit
+    has no ``batch_window`` or ``compute``), or the batcher's disk-tier
+    sweep.
 ``compute``
     The engine dispatch (``run_simulations`` / ``optimal_host``) for the
     batch the request's critical-path job rode.

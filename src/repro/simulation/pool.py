@@ -116,6 +116,26 @@ _RUNS = obs_metrics.REGISTRY.counter(
 _CACHE_HITS = obs_metrics.REGISTRY.counter(
     "pool_cache_hits_total", "simulations served from the on-disk result cache"
 )
+# Per-tier result-cache outcomes.  This module owns the ``disk`` tier; the
+# service's in-process response tier counts under ``memory`` on the same
+# families, so one query sees both tiers.
+TIER_HITS = obs_metrics.REGISTRY.counter(
+    "repro_cache_hits_total", "result-cache lookups answered, by tier"
+)
+TIER_MISSES = obs_metrics.REGISTRY.counter(
+    "repro_cache_misses_total", "result-cache lookups that found no entry, by tier"
+)
+TIER_CORRUPT = obs_metrics.REGISTRY.counter(
+    "repro_cache_corrupt_total",
+    "result-cache entries found unreadable or malformed (recomputed), by tier",
+)
+TIER_EVICTED = obs_metrics.REGISTRY.counter(
+    "repro_cache_evicted_total", "result-cache entries evicted to stay in bound, by tier"
+)
+_WRITE_ERRORS = obs_metrics.REGISTRY.counter(
+    "repro_cache_write_errors_total",
+    "result-cache writes dropped on a storage error (result still served)",
+)
 
 
 # -- worker sizing and chunking -------------------------------------------------
@@ -222,13 +242,23 @@ class ResultCache:
     schema version — changing any scenario knob, the seed, or the
     simulator semantics (schema bump) misses the cache by construction.
 
-    Corrupt or unreadable entries are treated as misses, never errors.
+    Lookups count three outcomes: ``hits``, ``misses`` (no entry) and
+    ``corrupt`` (an entry that cannot be read or parsed).  A corrupt entry
+    is served as a miss — never an error — and the recompute overwrites
+    it.  A write that fails on a storage error (full disk, read-only or
+    forbidden directory) is dropped and counted in ``write_errors``: the
+    cache is an accelerator, so it never fails the computation it stores.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
+        self.corrupt = 0
+        self.write_errors = 0
+        # The service's batcher probes and stores from several executor
+        # threads at once; ``+=`` on an attribute is not atomic.
+        self._count_lock = threading.Lock()
 
     @classmethod
     def default(cls) -> "ResultCache":
@@ -247,10 +277,19 @@ class ResultCache:
         try:
             data = json.loads(path.read_text())
             result = _result_from_dict(data)
-        except (OSError, ValueError, TypeError, KeyError):
-            self.misses += 1
+        except FileNotFoundError:
+            with self._count_lock:
+                self.misses += 1
+            TIER_MISSES.inc(tier="disk")
             return None
-        self.hits += 1
+        except (OSError, ValueError, TypeError, KeyError):
+            with self._count_lock:
+                self.corrupt += 1
+            TIER_CORRUPT.inc(tier="disk")
+            return None
+        with self._count_lock:
+            self.hits += 1
+        TIER_HITS.inc(tier="disk")
         return result
 
     #: Monotonic per-process tmp-name disambiguator (see :meth:`put`).
@@ -269,14 +308,27 @@ class ResultCache:
         succeed; last writer wins, which is indistinguishable from one
         writer because equal keys imply equal bytes (determinism
         contract).
+
+        A storage error (``ENOSPC``, ``EROFS``, ``EACCES``, ...) drops the
+        write: the tmp file is removed, ``write_errors`` counts it, and
+        the caller's result stands.
         """
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(
             f".tmp.{os.getpid()}.{threading.get_ident()}.{next(self._tmp_seq)}"
         )
-        tmp.write_text(json.dumps(_result_to_dict(result)))
-        tmp.replace(path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(json.dumps(_result_to_dict(result)))
+            tmp.replace(path)
+        except OSError:
+            with self._count_lock:
+                self.write_errors += 1
+            _WRITE_ERRORS.inc()
+            try:
+                tmp.unlink(missing_ok=True)
+            except OSError:
+                pass
 
     def get_many(self, keys: Iterable[str]) -> dict[str, SimulationResult]:
         """One batched sweep: ``{key: result}`` for every key that hits.
@@ -392,10 +444,11 @@ def split_cached(
     key (``None`` for traced configs, which are never cached, and for
     every entry when ``cache`` is ``None``).  One batched
     :meth:`ResultCache.get_many` sweep performs all the I/O, so
-    duplicate configs cost one file open each.  Both the pool and the
-    service batcher use this to keep warm configs out of fused
-    ``simulate_batch`` passes — miss-only slicing never changes results,
-    only which rows an engine actually advances.
+    duplicate configs cost one file open each.  The pool uses this to
+    keep warm configs out of fused ``simulate_batch`` passes — miss-only
+    slicing never changes results, only which rows an engine actually
+    advances.  (The service batcher slices the same way, with the keys
+    its server hashed at admission.)
     """
     results: list[SimulationResult | None] = [None] * len(configs)
     keys: list[str | None] = [None] * len(configs)

@@ -192,7 +192,10 @@ class TestMissOnlySlicing:
         out, stats = asyncio.run(main())
         dispatched = {c.seed for g in runner.groups for c in g}
         assert dispatched == {0, 2}  # the warm seeds were sliced out
-        assert stats.cache_hits == 2
+        # One disk-tier probe per job: two hits, two misses.
+        assert (cache.hits, cache.misses) == (2, 2)
+        # The batcher stored the computed misses itself.
+        assert all(cache.get(config_key(c)) is not None for c in configs)
         # Byte-identity contract: hits and misses alike match serial.
         for c, r in zip(configs, out):
             assert r == simulate(c)
@@ -214,7 +217,7 @@ class TestMissOnlySlicing:
 
         out, stats = asyncio.run(main())
         assert runner.groups == []
-        assert stats.cache_hits == 3
+        assert (cache.hits, cache.misses) == (3, 0)
         assert stats.batches["fast"] == 0  # no engine pass happened
         assert out == [simulate(c) for c in configs]
 
@@ -232,7 +235,7 @@ class TestMissOnlySlicing:
                 batcher.close()
 
         stats = asyncio.run(main())
-        assert stats.cache_hits == 0
+        assert stats.batched_jobs["fast"] == 3  # every job reached the engine
         assert sum(len(g) for g in runner.groups) == 3
 
 

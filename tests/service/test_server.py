@@ -223,4 +223,8 @@ class TestSharedCache:
                 got = c.post_raw("/v1/sweep", body)
                 stats = c.stats()
         assert got == want
-        assert stats["batch"]["cache_hits"] >= 4  # the warm rows never dispatched
+        # A fresh process: every row misses the memory tier; the four warm
+        # rows hit the disk tier in the batcher and never dispatch.
+        tiers = stats["cache"]["tiers"]
+        assert tiers["memory"]["misses"] == 6
+        assert (tiers["disk"]["hits"], tiers["disk"]["misses"]) == (4, 2)

@@ -1,6 +1,11 @@
 """The parallel batch runtime: determinism, caching, chunking, observability."""
 
 import dataclasses
+import errno
+import os
+import pathlib
+import sys
+import threading
 
 import pytest
 
@@ -164,6 +169,64 @@ class TestResultCache:
         # And the runner recomputes rather than failing.
         (result,) = run_simulations([config], cache=cache)
         assert result == simulate(config)
+
+    def test_corrupt_entry_counted_apart_from_misses_and_overwritten(
+        self, params, tmp_path
+    ):
+        cache = ResultCache(tmp_path)
+        config = cfg(params, seed=0)
+        key = config_key(config)
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses, cache.corrupt) == (0, 1, 0)
+        cache._path(key).parent.mkdir(parents=True)
+        cache._path(key).write_text("{not json")
+        (result,) = run_simulations([config], cache=cache)
+        assert (cache.hits, cache.misses, cache.corrupt) == (0, 1, 1)
+        assert cache.get(key) == result == simulate(config)  # recompute rewrote it
+
+    def test_counters_exact_under_concurrent_threads(self, params, tmp_path):
+        """The service probes from several executor threads at once; no
+        counter update may be lost."""
+        cache = ResultCache(tmp_path)
+        config = cfg(params, seed=0)
+        key = config_key(config)
+        cache.put(key, simulate(config))
+
+        def probe():
+            for _ in range(100):
+                cache.get(key)
+                cache.get("0" * 64)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=probe) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert (cache.hits, cache.misses) == (800, 800)
+
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EROFS, errno.EACCES])
+    def test_failed_write_is_dropped_and_counted(self, params, tmp_path, monkeypatch, code):
+        cache = ResultCache(tmp_path)
+        real_replace = pathlib.Path.replace
+
+        def failing_replace(self, target):
+            if ".tmp." in self.name:
+                raise OSError(code, os.strerror(code))
+            return real_replace(self, target)
+
+        monkeypatch.setattr(pathlib.Path, "replace", failing_replace)
+        config = cfg(params, seed=1)
+        (result,) = run_simulations([config], cache=cache)
+        assert result == simulate(config)
+        assert cache.write_errors == 1
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []  # tmp removed
+        assert cache.get(config_key(config)) is None
 
     def test_pool_and_cache_compose(self, params, tmp_path):
         cache = ResultCache(tmp_path)
